@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race cover cover-gate bench bench-json bench-closure bench-smoke bench-obs bench-trace bench-coldstart bench-coldstart-smoke bench-constrained bench-constrained-smoke experiments fuzz fuzz-smoke chaos chaos-persist chaos-sessions fmt vet clean
+.PHONY: all build test test-race race cover cover-gate bench bench-e2e bench-json bench-closure bench-smoke bench-obs bench-trace bench-coldstart bench-coldstart-smoke bench-constrained bench-constrained-smoke experiments fuzz fuzz-smoke chaos chaos-persist chaos-sessions fmt vet clean
 
 all: build vet test
 
@@ -42,6 +42,18 @@ cover-gate:
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx .
+
+# The end-to-end benchmark (perfbench/, see BENCHMARK.json): boots the
+# server in process, drives one seeded workload, checks every answer and
+# prints the metrics as its last line. Pick the run with WORKLOAD=hot|
+# cold|typing, SEED=n and RUN_SECONDS=n; TRACE=1 reports the per-layer
+# metrics instead. Builds and writes only under .bench_build/.
+WORKLOAD ?= cold
+SEED ?= 1
+RUN_SECONDS ?= 25
+TRACE ?= 0
+bench-e2e:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(RUN_SECONDS) --trace $(TRACE)
 
 # The tracked benchmark set as machine-readable JSON, for tracking
 # time/op and allocs/op across commits (see README "Performance").

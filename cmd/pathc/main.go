@@ -218,17 +218,15 @@ func run(cfg config, args []string) error {
 			fmt.Fprintln(os.Stderr, "  error:", err)
 			return
 		}
-		comp := cmp
 		var rec *core.TraceRecorder
+		var so core.SearchOptions
 		if cfg.trace {
 			// A tracer is per-query state: give each traced search its
-			// own recorder and completer copy.
+			// own recorder.
 			rec = core.NewTraceRecorder(s, cfg.traceLimit)
-			topts := opts
-			topts.Tracer = rec
-			comp = core.New(s, topts)
+			so.Tracer = rec
 		}
-		res, err := comp.Complete(expr)
+		res, err := cmp.CompleteWith(context.Background(), expr, so)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "  error:", err)
 			return

@@ -54,3 +54,36 @@ func TestWarmCompleteAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmConstrainedAllocs guards the memoized gap automata: once a
+// constraint source has been seen, a constrained query skips Compile
+// and Determinize entirely. The degenerate .* constraint normalizes to
+// the unconstrained pattern, so it must allocate exactly what the
+// plain query does; the regex and composed regex+predicate queries
+// share the unconstrained bound.
+func TestWarmConstrainedAllocs(t *testing.T) {
+	s := uni.New()
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"paper", Paper()},
+		{"safe", Safe()},
+		{"exact", Exact()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmp := New(s, tc.opts)
+			base := warmAllocs(t, cmp, pathexpr.MustParse("ta~name"))
+			if got := warmAllocs(t, cmp, pathexpr.MustParse("ta~(.*)~name")); got != base {
+				t.Errorf("warm ta~(.*)~name allocates %.0f/op, want exactly the unconstrained %.0f", got, base)
+			}
+			for _, expr := range []string{"ta~(grad.*)~name", `ta~(grad.*)~name[self != "zz"]`} {
+				got := warmAllocs(t, cmp, pathexpr.MustParse(expr))
+				if got > 120 {
+					t.Errorf("warm %s allocates %.0f/op, want <= 120 (DFA memo regression?)", expr, got)
+				}
+				t.Logf("warm %s: %.0f allocs/op (unconstrained %.0f)", expr, got, base)
+			}
+		})
+	}
+}

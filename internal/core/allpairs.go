@@ -108,7 +108,7 @@ func (c *Completer) AllPairsGap(ctx context.Context, anchor string, fn func(root
 		if cp == nil {
 			res = newEngine(ctx, c.s, pat, c.opts).run()
 		} else {
-			res = c.searchCompiled(ctx, pat, cp)
+			res = c.searchCompiled(ctx, pat, cp, c.opts)
 		}
 		if res.Aborted {
 			// The context tripped mid-search (AllPairsGap itself sets no

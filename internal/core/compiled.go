@@ -198,22 +198,18 @@ func patHash(p *pattern) uint64 {
 }
 
 // getEngine takes a recycled engine from the pool (or builds one) and
-// prepares it for a search of cp under the completer's options.
-func (c *Completer) getEngine(ctx context.Context, cp *compiled) *engine {
-	return c.getEngineFor(ctx, cp.pat, cp)
-}
-
-// getEngineFor is getEngine with an explicit pattern, for callers that
-// share one compiled index across patterns differing only in root (the
-// transition rows are root-independent; see newCompiled).
-func (c *Completer) getEngineFor(ctx context.Context, pat *pattern, cp *compiled) *engine {
+// prepares it for a search of pat over cp under the effective options
+// opts. pat is explicit for callers that share one compiled index
+// across patterns differing only in root (the transition rows are
+// root-independent; see newCompiled).
+func (c *Completer) getEngine(ctx context.Context, pat *pattern, cp *compiled, opts Options) *engine {
 	en, _ := c.pool.Get().(*engine)
 	if en == nil {
 		en = &engine{s: c.s, visited: make([]bool, c.s.NumClasses())}
 	} else {
 		poolServed.Add(1)
 	}
-	en.prepare(ctx, pat, cp, c.opts)
+	en.prepare(ctx, pat, cp, opts)
 	return en
 }
 

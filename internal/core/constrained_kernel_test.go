@@ -216,8 +216,8 @@ func TestUniversalConstraintDegenerate(t *testing.T) {
 						t.Errorf("seed %d %v: universal constraint changed the answer:\n constrained:   %+v %+v\n unconstrained: %+v %+v",
 							seed, e, view(got), got.Stats, view(plain), plain.Stats)
 					}
-					pb, err1 := compile(s, base)
-					pc, err2 := compile(s, e)
+					pb, err1 := compile(s, base, nil)
+					pc, err2 := compile(s, e, nil)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("seed %d: compile: %v %v", seed, err1, err2)
 					}

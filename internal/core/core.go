@@ -156,9 +156,9 @@ type Options struct {
 	// rescues, offers, preemptions) — see Tracer and TraceRecorder.
 	// A tracer is invoked from the goroutine running the search and
 	// must not be shared between concurrent queries: a Completer used
-	// concurrently should keep Tracer nil and copy its Options per
-	// traced query. The nil default costs one untaken branch per event
-	// site (BenchmarkTracerOverhead).
+	// concurrently should keep Tracer nil and pass a per-query tracer
+	// through CompleteWith. The nil default costs one untaken branch
+	// per event site (BenchmarkTracerOverhead).
 	Tracer Tracer
 }
 
@@ -314,13 +314,15 @@ func (r *Result) Strings() []string {
 // Completer completes incomplete path expressions over one schema.
 // A Completer's configuration is immutable and it is safe for
 // concurrent use; internally it memoizes compiled transition indexes
-// per pattern and recycles search engines through a pool, so repeated
-// queries run allocation-free on the hot path.
+// per pattern and gap automata per constraint source, and recycles
+// search engines through a pool, so repeated queries run
+// allocation-free on the hot path.
 type Completer struct {
 	s    *schema.Schema
 	opts Options
 
 	memo patternMemo
+	dfas dfaMemo
 	pool *sync.Pool // *engine scratch, sized to s
 }
 
@@ -330,17 +332,18 @@ func New(s *schema.Schema, opts Options) *Completer {
 }
 
 // Close releases the completer's recycled resources: the pooled search
-// engines and the memoized compiled transition indexes. It exists for
-// snapshot lifecycles (a schema registry that retires a superseded
-// generation once its refcount drains) where waiting for the garbage
-// collector to notice an unreferenced Completer would hold per-schema
-// index memory across many reloads. The Completer remains usable after
-// Close — subsequent searches simply recompile and repool — but Close
-// must not be called concurrently with an in-flight search on the same
-// Completer; a registry guarantees that by only closing drained
-// snapshots.
+// engines, the memoized compiled transition indexes and the memoized
+// gap automata. It exists for snapshot lifecycles (a schema registry
+// that retires a superseded generation once its refcount drains)
+// where waiting for the garbage collector to notice an unreferenced
+// Completer would hold per-schema index memory across many reloads.
+// The Completer remains usable after Close — subsequent searches
+// simply recompile and repool — but Close must not be called
+// concurrently with an in-flight search on the same Completer; a
+// registry guarantees that by only closing drained snapshots.
 func (c *Completer) Close() {
 	c.memo.drop()
+	c.dfas.drop()
 	c.pool = &sync.Pool{}
 }
 
@@ -366,6 +369,39 @@ func (c *Completer) Complete(e pathexpr.Expr) (*Result, error) {
 // rather than an error. A nil or Background context with no Deadline
 // option keeps the uninstrumented fast path of Complete.
 func (c *Completer) CompleteContext(ctx context.Context, e pathexpr.Expr) (*Result, error) {
+	return c.complete(ctx, e, c.opts)
+}
+
+// SearchOptions are the per-search overrides of a Completer's Options
+// that leave its compiled indexes valid: neither changes which moves
+// the search may make, only how it aggregates or reports them.
+type SearchOptions struct {
+	// E overrides Options.E for this search when >= 1.
+	E int
+	// Tracer, when non-nil, receives this search's events (and keeps
+	// the search sequential, as Options.Tracer does).
+	Tracer Tracer
+}
+
+// CompleteWith is CompleteContext with per-search overrides. It runs on
+// the completer's own memoized indexes, gap automata and engine pool,
+// and answers exactly as a fresh New(schema, opts) would, where opts is
+// the completer's Options with the overrides applied — so a server can
+// serve e-override and traced requests from one long-lived Completer.
+func (c *Completer) CompleteWith(ctx context.Context, e pathexpr.Expr, so SearchOptions) (*Result, error) {
+	opts := c.opts
+	if so.E > 0 {
+		opts.E = so.E
+	}
+	if so.Tracer != nil {
+		opts.Tracer = so.Tracer
+	}
+	return c.complete(ctx, e, opts)
+}
+
+// complete is CompleteContext under the effective options opts, which
+// may differ from c.opts only in the SearchOptions fields.
+func (c *Completer) complete(ctx context.Context, e pathexpr.Expr, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -395,21 +431,22 @@ func (c *Completer) CompleteContext(ctx context.Context, e pathexpr.Expr) (*Resu
 			Support:     EdgesOf(c.s, r.Rels),
 		}, nil
 	}
-	pat, err := compile(c.s, e)
+	pat, err := compile(c.s, e, &c.dfas)
 	if err != nil {
 		return nil, err
 	}
-	return c.search(ctx, pat), nil
+	return c.search(ctx, pat, opts), nil
 }
 
-// search dispatches one compiled-pattern search: the dynamic reference
-// engine under noCompile, the parallel root-branch search when
-// eligible, and otherwise a pooled engine over the memoized index.
-func (c *Completer) search(ctx context.Context, pat *pattern) *Result {
-	if c.opts.noCompile {
-		return newEngine(ctx, c.s, pat, c.opts).run()
+// search dispatches one compiled-pattern search under the effective
+// options opts: the dynamic reference engine under noCompile, the
+// parallel root-branch search when eligible, and otherwise a pooled
+// engine over the memoized index.
+func (c *Completer) search(ctx context.Context, pat *pattern, opts Options) *Result {
+	if opts.noCompile {
+		return newEngine(ctx, c.s, pat, opts).run()
 	}
-	return c.searchCompiled(ctx, pat, c.compiledFor(pat))
+	return c.searchCompiled(ctx, pat, c.compiledFor(pat), opts)
 }
 
 // searchCompiled runs one search of pat over the compiled transition
@@ -418,11 +455,11 @@ func (c *Completer) search(ctx context.Context, pat *pattern) *Result {
 // transition rows are root-independent (see newCompiled), so callers
 // sweeping many roots over one segment shape — the all-pairs closure
 // solver — share a single index across the sweep.
-func (c *Completer) searchCompiled(ctx context.Context, pat *pattern, cp *compiled) *Result {
-	if c.parallelEligible(pat, cp) {
-		return c.runParallel(ctx, pat, cp)
+func (c *Completer) searchCompiled(ctx context.Context, pat *pattern, cp *compiled, opts Options) *Result {
+	if parallelEligible(pat, cp, &opts) {
+		return c.runParallel(ctx, pat, cp, opts)
 	}
-	en := c.getEngineFor(ctx, pat, cp)
+	en := c.getEngine(ctx, pat, cp, opts)
 	res := en.run()
 	c.putEngine(en)
 	return res
@@ -453,7 +490,7 @@ func (c *Completer) CompleteToClassContext(ctx context.Context, root, target str
 		return nil, fmt.Errorf("core: unknown target class %q", target)
 	}
 	pat := &pattern{root: rc.ID, segs: []segment{{kind: segGapClass, class: tc.ID}}}
-	return c.search(ctx, pat), nil
+	return c.search(ctx, pat, c.opts), nil
 }
 
 // segKind discriminates pattern segments.
@@ -544,8 +581,10 @@ func (p *pattern) stripped() *pattern {
 }
 
 // compile checks the expression against the schema and builds the
-// pattern.
-func compile(s *schema.Schema, e pathexpr.Expr) (*pattern, error) {
+// pattern. dfas serves the gap automata; the serving path passes its
+// Completer's memo, the naive reference nil (compile every constraint
+// afresh).
+func compile(s *schema.Schema, e pathexpr.Expr, dfas *dfaMemo) (*pattern, error) {
 	rc, ok := s.ClassByName(e.Root)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown root class %q", e.Root)
@@ -571,44 +610,30 @@ func compile(s *schema.Schema, e pathexpr.Expr) (*pattern, error) {
 		}
 		pat.segs = append(pat.segs, segment{kind: segExplicit, conn: st.Conn, name: st.Name, predSrc: st.Pred})
 	}
-	if err := annotate(s, pat); err != nil {
+	if err := annotate(s, pat, dfas); err != nil {
 		return nil, err
 	}
 	return pat, nil
 }
 
 // annotate compiles the pattern's regex constraints to automata over
-// the schema's edge alphabet and its predicates to per-class
-// admissibility tables, then lays out the widened best[u] columns.
-// Universal constraints (automata accepting every non-empty fragment,
-// e.g. .* or .+) are dropped entirely, normalizing the pattern to its
-// unconstrained identity.
-func annotate(s *schema.Schema, pat *pattern) error {
-	var first, rest []string
+// the schema's edge alphabet (through dfas; see compile) and its
+// predicates to per-class admissibility tables, then lays out the
+// widened best[u] columns. Universal constraints (automata accepting
+// every non-empty fragment, e.g. .* or .+) are dropped entirely,
+// normalizing the pattern to its unconstrained identity.
+func annotate(s *schema.Schema, pat *pattern, dfas *dfaMemo) error {
 	for i := range pat.segs {
 		seg := &pat.segs[i]
 		if seg.constraint != "" {
-			rx, err := gapre.Compile(seg.constraint)
-			if err != nil {
-				return fmt.Errorf("core: gap constraint %q: %w", seg.constraint, err)
+			d := dfas.get(s, seg.constraint)
+			if d.err != nil {
+				return fmt.Errorf("core: gap constraint %q: %w", seg.constraint, d.err)
 			}
-			if first == nil {
-				rels := s.Rels()
-				first = make([]string, len(rels))
-				rest = make([]string, len(rels))
-				for _, rel := range rels {
-					first[rel.ID] = rel.Name
-					rest[rel.ID] = rel.Conn.String() + rel.Name
-				}
-			}
-			m, err := gapre.Determinize(rx, first, rest)
-			if err != nil {
-				return fmt.Errorf("core: gap constraint %q: %w", seg.constraint, err)
-			}
-			if m.Universal() {
+			if d.universal {
 				seg.constraint = ""
 			} else {
-				seg.dfa = m
+				seg.dfa = d.m
 			}
 		}
 		if seg.predSrc != "" {

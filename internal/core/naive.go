@@ -45,7 +45,7 @@ var ErrEnumLimit = fmt.Errorf("core: consistent-path enumeration limit exceeded"
 // comparable with the pruned search. limit > 0 aborts with
 // ErrEnumLimit once more than limit paths are found.
 func EnumerateConsistent(s *schema.Schema, e pathexpr.Expr, opts Options, limit int) ([]*pathexpr.Resolved, error) {
-	pat, err := compile(s, e)
+	pat, err := compile(s, e, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +197,7 @@ func NaiveComplete(s *schema.Schema, e pathexpr.Expr, opts Options, limit int) (
 	if !e.Incomplete() {
 		return New(s, opts).Complete(e)
 	}
-	pat, err := compile(s, e)
+	pat, err := compile(s, e, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -51,8 +51,9 @@ import (
 // seeding; constrained queries stay sequential), and the root actually
 // has branches to fan out. Pushed-down predicates do not gate: they
 // are baked into the compiled transition index the branches share.
-func (c *Completer) parallelEligible(pat *pattern, cp *compiled) bool {
-	o := &c.opts
+// o is the search's effective options (a per-search Tracer disables the
+// fan-out).
+func parallelEligible(pat *pattern, cp *compiled, o *Options) bool {
 	if o.Parallel < 2 || o.Tracer != nil || o.MaxCalls > 0 || o.MaxPaths > 0 {
 		return false
 	}
@@ -129,15 +130,15 @@ type branchOut struct {
 }
 
 // runParallel is the parallel counterpart of engine.run for one
-// compiled pattern.
-func (c *Completer) runParallel(ctx context.Context, pat *pattern, cp *compiled) *Result {
+// compiled pattern under the effective options opts.
+func (c *Completer) runParallel(ctx context.Context, pat *pattern, cp *compiled, opts Options) *Result {
 	root := pat.root
 	comps, kids := cp.moves(root, 0)
 
 	// Phase 1 — deterministic seed bound: offer the root's completing
 	// moves first (the early-target exploration of line (2), hoisted out
 	// of the fan-out). The accumulator engine also hosts the final merge.
-	acc := c.getEngineFor(ctx, pat, cp)
+	acc := c.getEngine(ctx, pat, cp, opts)
 	acc.visited[root] = true
 	acc.stats.Calls++ // the root visit, counted once as in the sequential sweep
 	if !acc.opts.NoEarlyTarget {
@@ -145,13 +146,13 @@ func (c *Completer) runParallel(ctx context.Context, pat *pattern, cp *compiled)
 	}
 	seed := append([]label.Key(nil), acc.bestT...)
 	var shared *sharedBound
-	if c.opts.DisableBestU {
+	if opts.DisableBestU {
 		shared = newSharedBound(seed)
 	}
 
 	// Phase 2 — fan the root branches across the worker pool.
 	outs := make([]branchOut, len(kids))
-	workers := c.opts.Parallel
+	workers := opts.Parallel
 	if workers > len(kids) {
 		workers = len(kids)
 	}
@@ -162,7 +163,7 @@ func (c *Completer) runParallel(ctx context.Context, pat *pattern, cp *compiled)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				outs[i] = c.runBranch(ctx, pat, cp, kids[i], seed, shared)
+				outs[i] = c.runBranch(ctx, pat, cp, opts, kids[i], seed, shared)
 			}
 		}()
 	}
@@ -201,8 +202,8 @@ func (c *Completer) runParallel(ctx context.Context, pat *pattern, cp *compiled)
 // runBranch searches the subtree behind one root branch: it replays
 // the child-loop body of traverse for that branch (acyclicity, bounds,
 // best[u] seeding), recurses, and hands back its surviving entries.
-func (c *Completer) runBranch(ctx context.Context, pat *pattern, cp *compiled, tr trans, seed []label.Key, shared *sharedBound) branchOut {
-	en := c.getEngineFor(ctx, pat, cp)
+func (c *Completer) runBranch(ctx context.Context, pat *pattern, cp *compiled, opts Options, tr trans, seed []label.Key, shared *sharedBound) branchOut {
+	en := c.getEngine(ctx, pat, cp, opts)
 	en.shared = shared
 	en.bestT = append(en.bestT, seed...)
 	root := pat.root

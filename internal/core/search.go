@@ -153,6 +153,7 @@ func (en *engine) release() {
 	en.found = en.found[:0]
 	en.bestT = en.bestT[:0]
 	en.tracer = nil
+	en.opts.Tracer = nil // a pooled engine must not pin a finished query's tracer
 	en.ctx = nil
 	en.done = nil
 	en.shared = nil

@@ -219,6 +219,10 @@ type Machine struct {
 // NumStates returns the number of determinized states.
 func (m *Machine) NumStates() int { return len(m.accept) }
 
+// Bytes returns the size of the machine's transition and accept
+// tables, the memory a cache retaining the machine holds.
+func (m *Machine) Bytes() int { return 4*len(m.next) + len(m.accept) }
+
 // Step returns the state after consuming edge symbol sym in state q,
 // or Dead.
 func (m *Machine) Step(q int32, sym int) int32 {

@@ -20,6 +20,7 @@ import (
 	"pathcomplete/internal/core"
 	"pathcomplete/internal/persist"
 	"pathcomplete/internal/schema"
+	"pathcomplete/internal/sdl"
 )
 
 // waitFor polls cond until it holds or the test deadline budget runs
@@ -185,7 +186,10 @@ func TestPersistReloadDropsDeletedName(t *testing.T) {
 // background warm/persist pipeline. Afterwards no temp files leak,
 // the quarantine is untouched (a racing save must never be mistaken
 // for corruption), the on-disk generation equals the live generation
-// (stale saves were gated, not written), and the registry drains.
+// (stale saves were gated, not written) — or, when the live snapshot
+// restored its closure from a save that landed mid-churn, the file is
+// that save and the ledger holds the live generation — and the
+// registry drains.
 func TestReloadRacingPersist(t *testing.T) {
 	dir := t.TempDir()
 	data := t.TempDir()
@@ -216,14 +220,33 @@ func TestReloadRacingPersist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := sn.Generation()
+		gen, restored := sn.Generation(), sn.ClosureStatus().Restored
+		live, err := sdl.WriteString(sn.Schema())
 		sn.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
 		f, err := ps.Load(name)
 		if err != nil || f == nil {
 			t.Fatalf("%s: durable file after churn: (%v, %v)", name, f, err)
 		}
-		if f.Generation != gen {
+		if f.SDL != live {
+			t.Errorf("%s: durable file was saved for another schema", name)
+		}
+		switch {
+		case !restored && f.Generation != gen:
 			t.Errorf("%s: file generation %d != live generation %d", name, f.Generation, gen)
+		case restored:
+			// A save landed mid-churn and the last reload restored from
+			// it: the file keeps the generation that wrote it (accounting,
+			// not identity), and the ledger records the live generation,
+			// which gates every older pending save.
+			if f.Generation > gen {
+				t.Errorf("%s: file generation %d is newer than live generation %d", name, f.Generation, gen)
+			}
+			if g, ok := ps.SavedGeneration(name); !ok || g != gen {
+				t.Errorf("%s: ledger generation (%d, %v) != live generation %d", name, g, ok, gen)
+			}
 		}
 	}
 	if s := ps.Stats(); s.SaveFailures != 0 {

@@ -761,27 +761,23 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 // are never cached: a future request with a bigger budget must get a
 // fresh, fuller search.
 //
-// The hot path — no per-request E override, no tracer — runs on the
-// snapshot's long-lived Completer: memoized compiled indexes and
-// pooled engines, the zero-allocation kernel of PR 3. Divergent
-// requests build a throwaway Completer with the adjusted options.
+// Every search — default, e-override and traced alike — runs on the
+// snapshot's long-lived Completer, with the request's E and tracer
+// passed per search: memoized compiled indexes, memoized gap automata
+// and pooled engines are shared by all of them.
 func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.Expr, opts core.Options, rec *core.TraceRecorder, key cacheKey) (completed, int, error) {
 	start := time.Now()
 	sctx, span := obs.StartSpan(ctx, "search")
 	// A head-sampled trace pays for per-event counts: bridge the kernel's
 	// Tracer hooks into the span via a CountingTracer. Unsampled (tail-
-	// rule-only) and untraced requests keep Options.Tracer nil, so the
+	// rule-only) and untraced requests keep the tracer nil, so the
 	// kernel's nil-fast-path overhead pin holds on the default path.
 	var ct *core.CountingTracer
 	if span.Sampled() && rec == nil {
 		ct = &core.CountingTracer{}
 		opts.Tracer = ct
 	}
-	cmp := sn.Completer()
-	if rec != nil || ct != nil || opts.E != sv.opts.E {
-		cmp = core.New(sn.Schema(), opts)
-	}
-	res, err := cmp.CompleteContext(sctx, e)
+	res, err := sn.Completer().CompleteWith(sctx, e, core.SearchOptions{E: opts.E, Tracer: opts.Tracer})
 	if err != nil {
 		span.SetError(err.Error())
 		span.End()

@@ -373,9 +373,7 @@ func (s *session) handleUpdate(ctx, sctx context.Context, f ClientFrame) {
 	for _, k := range res.Best {
 		frame.Best = append(frame.Best, BestKey{Conn: k.Conn.String(), SemLen: k.SemLen})
 	}
-	if s.send(frame) == nil {
-		s.event(Event{Kind: "final", Seq: f.Seq, Engine: engine})
-	}
+	s.sendCounted(frame, Event{Kind: "final", Seq: f.Seq, Engine: engine})
 }
 
 // advance runs the incremental path: reuse or rebuild the frontier
@@ -399,15 +397,13 @@ func (s *session) advance(sctx context.Context, f ClientFrame, e pathexpr.Expr) 
 	}
 	prefix := e.Steps[len(e.Steps)-1].Name
 	return s.frontier.Advance(sctx, prefix, func(anchor string, cell *core.Result, reused bool) {
-		if s.send(ServerFrame{
+		s.sendCounted(ServerFrame{
 			Type:       TypeBatch,
 			Seq:        f.Seq,
 			Anchor:     anchor,
 			Reused:     reused,
 			Candidates: candidates(cell.Completions),
-		}) == nil {
-			s.event(Event{Kind: "batch", Seq: f.Seq})
-		}
+		}, Event{Kind: "batch", Seq: f.Seq})
 	})
 }
 
@@ -436,7 +432,13 @@ func candidates(cs []core.Completion) []Candidate {
 
 // send writes one frame; a failed write (including an injected
 // session.send fault) is fatal to the session.
-func (s *session) send(f ServerFrame) error {
+func (s *session) send(f ServerFrame) error { return s.sendCounted(f, Event{}) }
+
+// sendCounted is send for a frame the metrics count: ev, when its Kind
+// is set, goes to OnEvent once the frame is encoded and before it is
+// written, so a client that has read the frame always finds it
+// counted. An injected send fault fires first and counts nothing.
+func (s *session) sendCounted(f ServerFrame, ev Event) error {
 	if err := faultinject.Inject("session.send"); err != nil {
 		s.fail(err)
 		return err
@@ -445,6 +447,9 @@ func (s *session) send(f ServerFrame) error {
 	if err != nil {
 		s.fail(err)
 		return err
+	}
+	if ev.Kind != "" {
+		s.event(ev)
 	}
 	if err := s.conn.WriteMessage(ws.OpText, data); err != nil {
 		s.fail(err)
@@ -471,9 +476,7 @@ func (s *session) sendError(seq uint64, perr *protoError) {
 }
 
 func (s *session) sendSkipped(seq uint64) {
-	if s.send(ServerFrame{Type: TypeSkipped, Seq: seq}) == nil {
-		s.event(Event{Kind: "skipped", Seq: seq})
-	}
+	s.sendCounted(ServerFrame{Type: TypeSkipped, Seq: seq}, Event{Kind: "skipped", Seq: seq})
 }
 
 func (s *session) event(ev Event) {

@@ -92,6 +92,10 @@ type Completer = core.Completer
 // Options configure a Completer; start from Paper, Safe, or Exact.
 type Options = core.Options
 
+// SearchOptions are per-search overrides (E, Tracer) for
+// Completer.CompleteWith.
+type SearchOptions = core.SearchOptions
+
 // Completion is one optimal completion with its label.
 type Completion = core.Completion
 
