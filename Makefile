@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race cover cover-gate bench bench-e2e bench-json bench-closure bench-smoke bench-obs bench-trace bench-coldstart bench-coldstart-smoke bench-constrained bench-constrained-smoke experiments fuzz fuzz-smoke chaos chaos-persist chaos-sessions fmt vet clean
+.PHONY: all build test test-race race cover cover-gate bench bench-e2e bench-ledger bench-smoke bench-obs experiments fuzz fuzz-smoke chaos chaos-persist chaos-sessions fmt vet clean
 
 all: build vet test
 
@@ -55,77 +55,37 @@ TRACE ?= 0
 bench-e2e:
 	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(RUN_SECONDS) --trace $(TRACE)
 
-# The tracked benchmark set as machine-readable JSON, for tracking
-# time/op and allocs/op across commits (see README "Performance").
-# Covers the search-kernel series plus the closure-vs-kernel point
-# query — the lookup/search ratio is the tentpole >=10x claim.
-TRACKED_BENCH = UniversityTaName|SchemaScaling|ClosureUniversityTaName
-bench-json:
-	$(GO) test -bench='$(TRACKED_BENCH)' -benchmem -run xxx . \
-		| $(GO) run ./cmd/benchjson > BENCH_core.json
-	@echo wrote BENCH_core.json
+# The benchmark ledger: every tracked lane in one BENCH_core.json, for
+# tracking time/op and allocs/op across commits (see README
+# "Performance"). Lanes: the search-kernel series, the closure-vs-kernel
+# point query (the lookup/search ratio), the constrained-gap lanes
+# (regex, predicate, degenerate .* and their composition against the
+# in-run unconstrained baseline), the coldstart comparison (restore the
+# 1000-class closure from its on-disk file vs rebuild it by search) and
+# the tracer-overhead comparison (nil vs noop vs recording tracer; the
+# tracing-disabled numbers are what the span pipeline must not move,
+# enforced by TestWarmCompleteAllocs). Each go test must pass before
+# the JSON is written, so a failing lane fails the target.
+LEDGER_BENCH = UniversityTaName|SchemaScaling|ClosureUniversityTaName|Constrained|Coldstart
+LEDGER_OUT ?= BENCH_core.json
+BENCHTIME ?=
+bench-ledger:
+	$(GO) test -bench='$(LEDGER_BENCH)' $(BENCHTIME) -benchmem -run xxx -timeout 30m . > bench_output.txt
+	$(GO) test -bench=TracerOverhead $(BENCHTIME) -benchmem -run xxx ./internal/core >> bench_output.txt
+	$(GO) run ./cmd/benchjson < bench_output.txt > $(LEDGER_OUT)
+	@echo wrote $(LEDGER_OUT)
 
-# Alias used by the closure work: regenerate the tracked series after
-# touching the all-pairs index or the kernel it mirrors.
-bench-closure: bench-json
-
-# CI-sized variant: one iteration per benchmark, just enough to prove
-# the benchmarks still run and the JSON pipeline still parses.
+# CI-sized variant: every ledger lane once, enough to prove each still
+# runs (the constrained lanes check their pinned completion counts,
+# coldstart checks restore and rebuild agree cell for cell) and the
+# JSON pipeline still parses.
 bench-smoke:
-	$(GO) test -bench='$(TRACKED_BENCH)' -benchtime=1x -benchmem -run xxx . \
-		| $(GO) run ./cmd/benchjson > /dev/null
+	$(MAKE) bench-ledger BENCHTIME=-benchtime=1x LEDGER_OUT=/dev/null
 
 # Demonstrate that the observability layer costs ~nothing when off:
 # compare nil vs noop vs recording tracers on the flagship query.
 bench-obs:
 	$(GO) test -bench=TracerOverhead -benchmem -count=5 -run xxx ./internal/core
-
-# The tracing cost ledger: the tracked kernel series plus the
-# tracer-overhead comparison, folded into BENCH_core.json. The
-# tracing-disabled numbers here are what the span pipeline must not
-# move (the <2% / zero-alloc pin; see TestWarmCompleteAllocs for the
-# enforced guard).
-bench-trace:
-	{ $(GO) test -bench='$(TRACKED_BENCH)' -benchmem -run xxx . ; \
-	  $(GO) test -bench=TracerOverhead -benchmem -run xxx ./internal/core ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_core.json
-	@echo wrote BENCH_core.json
-
-# The durable-state cost ledger: the tracked kernel series plus the
-# coldstart comparison (restore the 1000-class closure from its
-# checksummed on-disk file vs rebuild it by search), folded into
-# BENCH_core.json. The disk/rebuild ratio is the restart guarantee the
-# persistence tentpole sells: >=10x.
-bench-coldstart:
-	{ $(GO) test -bench='$(TRACKED_BENCH)' -benchmem -run xxx . ; \
-	  $(GO) test -bench=TracerOverhead -benchmem -run xxx ./internal/core ; \
-	  $(GO) test -bench=Coldstart -benchmem -run xxx -timeout 30m . ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_core.json
-	@echo wrote BENCH_core.json
-
-# CI-sized variant: one iteration per series, enough to prove restore
-# and rebuild still agree cell-for-cell on the big schema.
-bench-coldstart-smoke:
-	$(GO) test -bench=Coldstart -benchtime=1x -benchmem -run xxx -timeout 30m . \
-		| $(GO) run ./cmd/benchjson > /dev/null
-
-# The gap-annotation cost ledger: the tracked kernel series plus the
-# constrained lanes (regex-constrained gap, pushed-down predicate,
-# degenerate .* constraint, and their composition — each against the
-# in-run unconstrained baseline), folded into BENCH_core.json. The
-# unconstrained baseline is the number the annotations must not move;
-# its alloc bound is enforced by TestWarmCompleteAllocs in CI.
-bench-constrained:
-	$(GO) test -bench='$(TRACKED_BENCH)|Constrained' -benchmem -run xxx . \
-		| $(GO) run ./cmd/benchjson > BENCH_core.json
-	@echo wrote BENCH_core.json
-
-# CI-sized variant: one iteration per lane, enough to prove the
-# constrained benchmarks still run (the regex/predicate kernels still
-# answer with the pinned completion counts) and the JSON still parses.
-bench-constrained-smoke:
-	$(GO) test -bench=Constrained -benchtime=1x -benchmem -run xxx . \
-		| $(GO) run ./cmd/benchjson > /dev/null
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -66,7 +66,9 @@ func parse(sc *bufio.Scanner) (*document, error) {
 			doc.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
 			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
+		case strings.HasPrefix(line, "pkg:") && doc.Pkg == "":
+			// A ledger streams several packages' runs; the first
+			// package names the document (the module root).
 			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))

@@ -47,3 +47,18 @@ func TestParseIgnoresNoise(t *testing.T) {
 		t.Errorf("want no results, got %+v", doc.Results)
 	}
 }
+
+// TestParseKeepsFirstPkg: a multi-package stream (the ledger runs the
+// root and internal/core benchmarks) is named by its first package and
+// keeps every package's rows.
+func TestParseKeepsFirstPkg(t *testing.T) {
+	stream := sample + "pkg: pathcomplete/internal/core\n" +
+		"BenchmarkTracerOverhead/nil-2\t  158814\t      9659 ns/op\n"
+	doc, err := parse(bufio.NewScanner(strings.NewReader(stream)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Pkg != "pathcomplete" || len(doc.Results) != 3 {
+		t.Errorf("pkg = %q, %d results; want pathcomplete, 3", doc.Pkg, len(doc.Results))
+	}
+}

@@ -274,7 +274,7 @@ func run(cfg config, args []string) error {
 				res.Stats.PrunedBestU, res.Stats.CautionSaves)
 		}
 		if eval && store != nil {
-			in := fox.New(store, opts, fox.AcceptAll)
+			in := fox.New(store, cmp, fox.AcceptAll)
 			ans, err := in.Query(src)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "  eval error:", err)

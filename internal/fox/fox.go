@@ -9,6 +9,7 @@
 package fox
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -68,23 +69,25 @@ type Interp struct {
 	chooser   Chooser
 }
 
-// New returns an interpreter over the store, completing with the given
-// options and resolving ambiguity with the given chooser (AcceptAll if
-// nil).
-func New(store *objstore.Store, opts core.Options, chooser Chooser) *Interp {
-	if chooser == nil {
-		chooser = AcceptAll
-	}
-	return &Interp{
-		store:     store,
-		completer: core.New(store.Schema(), opts),
-		chooser:   chooser,
-	}
+// New returns an interpreter over the store that disambiguates with the
+// completer (over the store's schema) and resolves ambiguity with the
+// chooser (AcceptAll if nil).
+func New(store *objstore.Store, c *core.Completer, chooser Chooser) *Interp {
+	return &Interp{store: store, completer: c, chooser: chooser}
 }
 
 // Query runs the full Figure 1 loop on one query: a path expression
 // optionally followed by a where clause (see predicate.go).
 func (in *Interp) Query(src string) (*Answer, error) {
+	return Eval(context.Background(), in.store, in.completer, core.SearchOptions{}, in.chooser, src)
+}
+
+// Eval runs the Figure 1 loop on one query against store: c
+// disambiguates it through CompleteWith under ctx (whose deadline or
+// cancellation stops the search gracefully) with the per-search
+// overrides so, choose approves candidates (AcceptAll if nil), and the
+// approved expressions are evaluated.
+func Eval(ctx context.Context, store *objstore.Store, c *core.Completer, so core.SearchOptions, choose Chooser, src string) (*Answer, error) {
 	exprSrc, pred, err := splitQuery(src)
 	if err != nil {
 		return nil, err
@@ -93,7 +96,7 @@ func (in *Interp) Query(src string) (*Answer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fox: %w", err)
 	}
-	res, err := in.completer.Complete(e)
+	res, err := c.CompleteWith(ctx, e, so)
 	if err != nil {
 		return nil, fmt.Errorf("fox: %w", err)
 	}
@@ -101,7 +104,10 @@ func (in *Interp) Query(src string) (*Answer, error) {
 	if len(res.Completions) == 0 {
 		return ans, nil
 	}
-	picked := in.chooser(res.Completions)
+	if choose == nil {
+		choose = AcceptAll
+	}
+	picked := choose(res.Completions)
 	seen := make(map[int]bool, len(picked))
 	union := make(map[objstore.OID]bool)
 	for _, i := range picked {
@@ -111,7 +117,7 @@ func (in *Interp) Query(src string) (*Answer, error) {
 		seen[i] = true
 		c := res.Completions[i]
 		ans.Chosen = append(ans.Chosen, c)
-		for _, oid := range in.store.Eval(c.Path) {
+		for _, oid := range store.Eval(c.Path) {
 			union[oid] = true
 		}
 	}
@@ -120,8 +126,8 @@ func (in *Interp) Query(src string) (*Answer, error) {
 	}
 	sort.Slice(ans.Objects, func(i, j int) bool { return ans.Objects[i] < ans.Objects[j] })
 	if pred != nil {
-		ans.Objects = filterObjects(pred, in.store, ans.Objects)
+		ans.Objects = filterObjects(pred, store, ans.Objects)
 	}
-	ans.Values = in.store.Values(ans.Objects)
+	ans.Values = store.Values(ans.Objects)
 	return ans, nil
 }

@@ -10,7 +10,8 @@ import (
 
 func interp(t *testing.T, chooser Chooser) *Interp {
 	t.Helper()
-	return New(uni.SampleStore(), core.Exact(), chooser)
+	store := uni.SampleStore()
+	return New(store, core.New(store.Schema(), core.Exact()), chooser)
 }
 
 // TestIncompleteQueryLoop runs the paper's flagship query end to end:
@@ -86,7 +87,7 @@ func TestChooserMisbehaviour(t *testing.T) {
 
 // TestNilChooserDefaultsToAcceptAll covers the constructor default.
 func TestNilChooserDefaultsToAcceptAll(t *testing.T) {
-	in := New(uni.SampleStore(), core.Exact(), nil)
+	in := interp(t, nil)
 	ans, err := in.Query("ta~name")
 	if err != nil {
 		t.Fatalf("Query: %v", err)

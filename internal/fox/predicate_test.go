@@ -5,13 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"pathcomplete/internal/core"
 	"pathcomplete/internal/pred"
-	"pathcomplete/internal/uni"
 )
 
 func TestWhereOnAttributes(t *testing.T) {
-	in := New(uni.SampleStore(), core.Exact(), AcceptAll)
+	in := interp(t, AcceptAll)
 	// Courses of departments with more than 3 credits: only Painting.
 	ans, err := in.Query("department~course where credits > 3")
 	if err != nil {
@@ -33,7 +31,7 @@ func TestWhereOnAttributes(t *testing.T) {
 }
 
 func TestWhereOnSelf(t *testing.T) {
-	in := New(uni.SampleStore(), core.Exact(), AcceptAll)
+	in := interp(t, AcceptAll)
 	ans, err := in.Query(`university~ssn where self >= 300`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -54,7 +52,7 @@ func TestWhereOnSelf(t *testing.T) {
 }
 
 func TestWhereStringEquality(t *testing.T) {
-	in := New(uni.SampleStore(), core.Exact(), AcceptAll)
+	in := interp(t, AcceptAll)
 	ans, err := in.Query(`ta~name where self = "Yezdi"`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
@@ -72,7 +70,7 @@ func TestWhereStringEquality(t *testing.T) {
 }
 
 func TestWhereNonPrimitiveSelfAndUnknownAttr(t *testing.T) {
-	in := New(uni.SampleStore(), core.Exact(), AcceptAll)
+	in := interp(t, AcceptAll)
 	// self on non-primitive results never matches.
 	ans, err := in.Query(`department~course where self = "Databases"`)
 	if err != nil {
@@ -92,7 +90,7 @@ func TestWhereNonPrimitiveSelfAndUnknownAttr(t *testing.T) {
 }
 
 func TestWhereParseErrors(t *testing.T) {
-	in := New(uni.SampleStore(), core.Exact(), AcceptAll)
+	in := interp(t, AcceptAll)
 	for _, src := range []string{
 		"ta~name where",
 		"ta~name where credits >",

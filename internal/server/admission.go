@@ -12,6 +12,7 @@ package server
 
 import (
 	"context"
+	"errors"
 )
 
 // admitOutcome is the result of one admission attempt.
@@ -69,3 +70,29 @@ func (g *gate) inFlight() int { return len(g.slots) }
 
 // queued reports the number of waiters.
 func (g *gate) queued() int { return len(g.queue) }
+
+// errShed is the message of a shed search, on every surface.
+var errShed = errors.New("server overloaded: admission queue full")
+
+// admit takes one admission slot for a search — REST routes and
+// session keystrokes alike — with the shared inflight, shed and
+// queue-timeout accounting. On admitOK the caller must call release
+// exactly once.
+func (sv *Server) admit(ctx context.Context) admitOutcome {
+	outcome := sv.gate.acquire(ctx)
+	switch outcome {
+	case admitOK:
+		sv.met.inflight.Inc()
+	case admitShed:
+		sv.met.sheds.Inc()
+	default: // admitCanceled
+		sv.met.timeouts.Inc()
+	}
+	return outcome
+}
+
+// release returns a slot taken by admit.
+func (sv *Server) release() {
+	sv.met.inflight.Dec()
+	sv.gate.release()
+}

@@ -1,33 +1,14 @@
 package server
 
-// Closure serving: the server consults the snapshot's materialized
-// all-pairs index before the search kernel for the dominant query
-// shape — a single-gap expression `root ~ anchor` at the server's
-// default E, untraced and unbudgeted. Everything else (multi-gap,
-// per-request E, trace, per-request timeout) falls through to the
-// ordinary pipeline by design: the index only materializes the shape
-// the paper identifies as the interactive hot path, and a budgeted
-// request explicitly asked for a bounded fresh search.
-//
-// A closure answer is bit-for-bit the Result the kernel would have
-// produced (internal/closure builds every cell through the serving
-// dispatch), so hitting the index changes latency, never answers.
+// Closure warming: background all-pairs builds for every served
+// snapshot, and their lifecycle metrics. Which requests the index
+// answers is decided by the planner (plan.go).
 
 import (
 	"time"
 
 	"pathcomplete/internal/closure"
-	"pathcomplete/internal/core"
 	"pathcomplete/internal/obs"
-	"pathcomplete/internal/pathexpr"
-	"pathcomplete/internal/registry"
-)
-
-// Engine values reported in response meta: which subsystem produced
-// the answer.
-const (
-	engineSearch  = "search"
-	engineClosure = "closure"
 )
 
 // EnableClosure switches on background all-pairs warming for every
@@ -62,38 +43,4 @@ func (o closureObserver) ClosureBuildFinished(schema, outcome string, elapsed ti
 	}
 	o.sv.traceP.RecordSynthetic("closure.build", time.Now().Add(-elapsed), elapsed,
 		map[string]any{obs.AttrSchema: schema, "outcome": outcome, "bytes": bytes}, errMsg)
-}
-
-// closureEligible reports whether the request may be answered from
-// the closure at all: default E, no trace, no per-request budget.
-// (The expression shape is checked by closureLookup.)
-func (sv *Server) closureEligible(req CompleteRequest, opts core.Options) bool {
-	return !req.Trace && req.TimeoutMs == 0 && opts.E == sv.opts.E
-}
-
-// closureLookup answers a single-gap expression from the snapshot's
-// materialized index. ok is false when the expression is not
-// single-gap, the index is not ready, or the cell is absent (unknown
-// or primitive root — the fall-through search produces the canonical
-// error); eligible reports whether the expression shape qualified,
-// so the caller can distinguish a miss from a fallback.
-func (sv *Server) closureLookup(sn *registry.Snapshot, e pathexpr.Expr) (res *core.Result, ok, eligible bool) {
-	// An annotated gap (regex constraint) or a pushed-down predicate
-	// changes the answer set: the index only materializes the
-	// unconstrained cells, so those queries must fall through to the
-	// kernel.
-	if len(e.Steps) != 1 || !e.Steps[0].Gap ||
-		e.Steps[0].Constraint != "" || e.Steps[0].Pred != "" {
-		return nil, false, false
-	}
-	ix := sn.Closure().Index()
-	if ix == nil {
-		return nil, false, true
-	}
-	root, found := sn.Schema().ClassByName(e.Root)
-	if !found {
-		return nil, false, true
-	}
-	res, hit := ix.Lookup(root.ID, e.Steps[0].Name)
-	return res, hit, true
 }

@@ -650,19 +650,21 @@ type CompleteResponse struct {
 	TraceDropped int               `json:"traceDropped,omitempty"`
 }
 
-// completed bundles what handleComplete needs from one completion.
+// completed bundles what a completion route needs from one answer: the
+// result and the plan that produced it (a cache or singleflight hit
+// keeps the plan's engine, "search").
 type completed struct {
+	planned
 	res    *core.Result
 	expr   pathexpr.Expr
 	cached bool
 	shared bool
-	// engine identifies the subsystem that produced res: "closure" for
-	// a materialized all-pairs cell, "search" for the kernel (cache and
-	// singleflight hits keep the engine that originally computed them).
-	engine string
 	rec    *core.TraceRecorder
 }
 
+// complete parses one query and answers it along its plan: the closure
+// cell on a hit, a fresh recorded search for a trace, and otherwise
+// the memo cache, then singleflight, then search.
 func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req CompleteRequest) (completed, int, error) {
 	if err := faultinject.Inject("server.complete"); err != nil {
 		return completed{}, http.StatusInternalServerError, err
@@ -679,45 +681,35 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 		s.SetAttr(obs.AttrShape, exprShape(e))
 		s.SetAttr(obs.AttrSchema, sn.Name())
 	}
-	opts := sv.opts
-	if req.E > 0 {
-		opts.E = req.E
+	p, cell := sv.plan(ctx, sn, &req, e)
+	switch p.reason {
+	case reasonHit:
+		sv.met.closureHits.Inc()
+		return completed{planned: p, res: cell, expr: e}, http.StatusOK, nil
+	case reasonNotReady, reasonCellMissing:
+		sv.met.closureMisses.Inc()
+	default:
+		sv.met.closureFallbacks.Inc()
 	}
-	label := sv.met.schemaLabel(sn.Name())
+	so := core.SearchOptions{E: sv.opts.E}
+	if req.E > 0 {
+		so.E = req.E
+	}
 	key := cacheKey{
 		shard: shardID{schema: sn.Name(), gen: sn.Generation()},
 		expr:  e.String(),
-		e:     opts.E,
+		e:     so.E,
 	}
-	if req.Trace {
+	if p.reason == reasonTrace {
 		// Traced requests always run a fresh search with their own
 		// recorder: no cache lookup, no singleflight.
 		rec := core.NewTraceRecorder(sn.Schema(), req.TraceLimit)
-		opts.Tracer = rec
-		sv.met.closureFallbacks.Inc()
-		return sv.search(ctx, sn, e, opts, rec, key)
+		so.Tracer = rec
+		c, status, err := sv.search(ctx, sn, e, so, rec, key)
+		c.planned = p
+		return c, status, err
 	}
-	// The materialized all-pairs closure answers the dominant query
-	// shape — a single-gap expression at the server's default options —
-	// before the memo cache is even consulted: the lookup is one map
-	// probe on an immutable index, with no lock and no LRU bookkeeping.
-	if sv.closureEligible(req, opts) {
-		_, cs := obs.StartSpan(ctx, "closure")
-		res, hit, eligible := sv.closureLookup(sn, e)
-		cs.SetAttr("hit", hit)
-		cs.End()
-		if eligible {
-			if hit {
-				sv.met.closureHits.Inc()
-				return completed{res: res, expr: e, engine: engineClosure}, http.StatusOK, nil
-			}
-			sv.met.closureMisses.Inc()
-		} else {
-			sv.met.closureFallbacks.Inc()
-		}
-	} else {
-		sv.met.closureFallbacks.Inc()
-	}
+	label := sv.met.schemaLabel(sn.Name())
 	_, gs := obs.StartSpan(ctx, "cache")
 	sv.mu.Lock()
 	res, ok := sv.cache.get(key)
@@ -727,7 +719,7 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 	if ok {
 		sv.met.cacheHits.Inc()
 		sv.met.schemaCacheHits.With(label).Inc()
-		return completed{res: res, expr: e, cached: true, engine: engineSearch}, http.StatusOK, nil
+		return completed{planned: p, res: res, expr: e, cached: true}, http.StatusOK, nil
 	}
 	// Only a real failed lookup counts as a miss (traced requests
 	// never look the cache up at all).
@@ -739,7 +731,7 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 	// after a reload can never share a pre-reload leader's answer.
 	sfCtx, sf := obs.StartSpan(ctx, "singleflight")
 	c, status, err, shared := sv.flights.do(ctx, key, func() (completed, int, error) {
-		return sv.search(sfCtx, sn, e, opts, nil, key)
+		return sv.search(sfCtx, sn, e, so, nil, key)
 	})
 	sf.SetAttr("shared", shared)
 	sf.End()
@@ -752,6 +744,7 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 		sv.met.singleflightShared.Inc()
 		c.shared = true
 	}
+	c.planned = p
 	return c, status, err
 }
 
@@ -765,7 +758,7 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 // snapshot's long-lived Completer, with the request's E and tracer
 // passed per search: memoized compiled indexes, memoized gap automata
 // and pooled engines are shared by all of them.
-func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.Expr, opts core.Options, rec *core.TraceRecorder, key cacheKey) (completed, int, error) {
+func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.Expr, so core.SearchOptions, rec *core.TraceRecorder, key cacheKey) (completed, int, error) {
 	start := time.Now()
 	sctx, span := obs.StartSpan(ctx, "search")
 	// A head-sampled trace pays for per-event counts: bridge the kernel's
@@ -775,9 +768,9 @@ func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.
 	var ct *core.CountingTracer
 	if span.Sampled() && rec == nil {
 		ct = &core.CountingTracer{}
-		opts.Tracer = ct
+		so.Tracer = ct
 	}
-	res, err := sn.Completer().CompleteWith(sctx, e, core.SearchOptions{E: opts.E, Tracer: opts.Tracer})
+	res, err := sn.Completer().CompleteWith(sctx, e, so)
 	if err != nil {
 		span.SetError(err.Error())
 		span.End()
@@ -820,45 +813,50 @@ func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.
 		sv.met.cacheSize.Set(int64(size))
 		sv.met.cacheBytes.Set(bytes)
 	}
-	return completed{res: res, expr: e, engine: engineSearch, rec: rec}, http.StatusOK, nil
+	return completed{res: res, expr: e, rec: rec}, http.StatusOK, nil
 }
 
-// admit runs the admission gate for one search request, answering the
-// shed (429 + Retry-After) and queue-timeout (503) cases itself. On
-// ok the caller must call release exactly once.
-func (sv *Server) admit(w http.ResponseWriter, r *http.Request, ctx context.Context) (release func(), ok bool) {
+// serveAdmitted is the one prologue of the search routes: it pins the
+// request's snapshot, bounds the context by the effective timeout and
+// takes an admission slot, answering each failure itself (404, 429 +
+// Retry-After, 503), then runs the route under all three.
+func (sv *Server) serveAdmitted(w http.ResponseWriter, r *http.Request, timeoutMs int, run func(ctx context.Context, sn *registry.Snapshot)) {
+	sn, ok := sv.acquireSnapshot(w, r)
+	if !ok {
+		return
+	}
+	defer sn.Release()
+	ctx := r.Context()
+	if d := sv.effectiveTimeout(timeoutMs); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
 	_, span := obs.StartSpan(ctx, "admit")
-	outcome := sv.gate.acquire(ctx)
+	outcome := sv.admit(ctx)
 	if outcome != admitOK {
 		span.SetError("not admitted")
 	}
 	span.End()
 	switch outcome {
-	case admitOK:
-		sv.met.inflight.Inc()
-		return func() {
-			sv.met.inflight.Dec()
-			sv.gate.release()
-		}, true
 	case admitShed:
-		sv.met.sheds.Inc()
 		w.Header().Set("Retry-After", "1")
 		if isV1(r) {
-			sv.jsonError(w, r, http.StatusTooManyRequests,
-				"server overloaded: admission queue full")
-			return nil, false
+			sv.jsonError(w, r, http.StatusTooManyRequests, errShed.Error())
+			return
 		}
 		sv.writeJSON(w, r, http.StatusTooManyRequests, map[string]any{
-			"error":             "server overloaded: admission queue full",
+			"error":             errShed.Error(),
 			"retryAfterSeconds": 1,
 		})
-		return nil, false
-	default: // admitCanceled
-		sv.met.timeouts.Inc()
+		return
+	case admitCanceled:
 		sv.jsonError(w, r, http.StatusServiceUnavailable,
 			"request ended while waiting for an admission slot")
-		return nil, false
+		return
 	}
+	defer sv.release()
+	run(ctx, sn)
 }
 
 // completeResponse renders one completed search as the response body.
@@ -909,34 +907,28 @@ func (sv *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		sv.jsonError(w, r, decodeStatus(err), "bad request: "+err.Error())
 		return
 	}
+	serveQuery(sv, w, r, req, (*Server).completeResponse)
+}
+
+// serveQuery answers one completion query — /v1/complete and
+// /v1/explain alike — through the search prologue and complete, and
+// renders the answer's data payload with render.
+func serveQuery[T any](sv *Server, w http.ResponseWriter, r *http.Request, req CompleteRequest, render func(*Server, *registry.Snapshot, completed) T) {
 	if err := sv.validateComplete(&req); err != nil {
 		sv.jsonError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	sn, ok := sv.acquireSnapshot(w, r)
-	if !ok {
-		return
-	}
-	defer sn.Release()
-	ctx := r.Context()
-	if d := sv.effectiveTimeout(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	release, admitted := sv.admit(w, r, ctx)
-	if !admitted {
-		return
-	}
-	defer release()
-	c, status, err := sv.complete(ctx, sn, req)
-	if err != nil {
-		obs.SpanFromContext(r.Context()).SetError(err.Error())
-		sv.jsonError(w, r, status, err.Error())
-		return
-	}
-	obs.SpanFromContext(r.Context()).SetAttr(obs.AttrEngine, c.engine)
-	sv.respond(w, r, http.StatusOK, sv.completeResponse(sn, c), completeMeta(sn, c))
+	sv.serveAdmitted(w, r, req.TimeoutMs, func(ctx context.Context, sn *registry.Snapshot) {
+		c, status, err := sv.complete(ctx, sn, req)
+		root := obs.SpanFromContext(r.Context())
+		if err != nil {
+			root.SetError(err.Error())
+			sv.jsonError(w, r, status, err.Error())
+			return
+		}
+		setPlanAttrs(root, c.planned)
+		sv.respond(w, r, http.StatusOK, render(sv, sn, c), completeMeta(sn, c))
+	})
 }
 
 // BatchRequest is the body of POST /completeBatch: a set of completion
@@ -987,56 +979,41 @@ func (sv *Server) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
 		sv.jsonError(w, r, http.StatusBadRequest, "timeoutMs must be non-negative")
 		return
 	}
-	sn, ok := sv.acquireSnapshot(w, r)
-	if !ok {
-		return
-	}
-	defer sn.Release()
-	ctx := r.Context()
-	if d := sv.effectiveTimeout(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
 	// One admission slot covers the whole batch: a batch is one unit of
 	// client work, and charging per element would let small batches
 	// starve interactive queries.
-	release, admitted := sv.admit(w, r, ctx)
-	if !admitted {
-		return
-	}
-	defer release()
-
-	out := BatchResponse{
-		Schema:     sn.Name(),
-		Generation: sn.Generation(),
-		Results:    make([]BatchItem, len(req.Queries)),
-	}
-	workers := batchWorkers
-	if workers > len(req.Queries) {
-		workers = len(req.Queries)
-	}
-	bctx, bspan := obs.StartSpan(ctx, "fanout")
-	bspan.SetAttr("queries", len(req.Queries))
-	bspan.SetAttr("workers", workers)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out.Results[i] = sv.batchOne(bctx, sn, req.Queries[i])
-			}
-		}()
-	}
-	for i := range req.Queries {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	bspan.End()
-	sv.respond(w, r, http.StatusOK, out, &Meta{Schema: sn.Name(), Generation: sn.Generation()})
+	sv.serveAdmitted(w, r, req.TimeoutMs, func(ctx context.Context, sn *registry.Snapshot) {
+		out := BatchResponse{
+			Schema:     sn.Name(),
+			Generation: sn.Generation(),
+			Results:    make([]BatchItem, len(req.Queries)),
+		}
+		workers := batchWorkers
+		if workers > len(req.Queries) {
+			workers = len(req.Queries)
+		}
+		bctx, bspan := obs.StartSpan(ctx, "fanout")
+		bspan.SetAttr("queries", len(req.Queries))
+		bspan.SetAttr("workers", workers)
+		var wg sync.WaitGroup
+		next := make(chan int)
+		for wk := 0; wk < workers; wk++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					out.Results[i] = sv.batchOne(bctx, sn, req.Queries[i])
+				}
+			}()
+		}
+		for i := range req.Queries {
+			next <- i
+		}
+		close(next)
+		wg.Wait()
+		bspan.End()
+		sv.respond(w, r, http.StatusOK, out, &Meta{Schema: sn.Name(), Generation: sn.Generation()})
+	})
 }
 
 // batchWorkers bounds the per-batch search concurrency. The admission
@@ -1068,7 +1045,7 @@ func (sv *Server) batchOne(ctx context.Context, sn *registry.Snapshot, q Complet
 		span.SetError(err.Error())
 		return BatchItem{Error: err.Error()}
 	}
-	span.SetAttr(obs.AttrEngine, c.engine)
+	setPlanAttrs(span, c.planned)
 	return BatchItem{CompleteResponse: sv.completeResponse(sn, c)}
 }
 
@@ -1091,74 +1068,51 @@ func (sv *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		sv.jsonError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	sn, ok := sv.acquireSnapshot(w, r)
-	if !ok {
-		return
-	}
-	defer sn.Release()
-	if sn.Store() == nil {
-		sv.jsonError(w, r, http.StatusNotFound, "no object store mounted for schema "+sn.Name())
-		return
-	}
-	ctx := r.Context()
-	if d := sv.effectiveTimeout(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	release, admitted := sv.admit(w, r, ctx)
-	if !admitted {
-		return
-	}
-	defer release()
-	if err := faultinject.Inject("server.evaluate"); err != nil {
-		sv.jsonError(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	// The evaluation path runs through the Fox interpreter (the full
-	// Figure 1 loop), which also understands selection predicates:
-	// {"expr": "department~course where credits > 3"}. The request's
-	// Approve indices stand in for the user. The per-request deadline
-	// bounds each internal disambiguation search via Options.Deadline.
-	opts := sv.opts
-	if req.E > 0 {
-		opts.E = req.E
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 {
-			opts.Deadline = rem
+	sv.serveAdmitted(w, r, req.TimeoutMs, func(ctx context.Context, sn *registry.Snapshot) {
+		if sn.Store() == nil {
+			sv.jsonError(w, r, http.StatusNotFound, "no object store mounted for schema "+sn.Name())
+			return
 		}
-	}
-	chooser := fox.AcceptAll
-	if len(req.Approve) > 0 {
-		approve := req.Approve
-		chooser = func([]core.Completion) []int { return approve }
-	}
-	if s := obs.SpanFromContext(r.Context()); s != nil {
-		s.SetAttr(obs.AttrExpr, req.Expr)
-		s.SetAttr(obs.AttrSchema, sn.Name())
-		s.SetAttr(obs.AttrEngine, engineSearch)
-	}
-	_, espan := obs.StartSpan(ctx, "evaluate")
-	in := fox.New(sn.Store(), opts, chooser)
-	ans, err := in.Query(req.Expr)
-	espan.End()
-	if err != nil {
-		sv.jsonError(w, r, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	out := EvaluateResponse{Expr: ans.Query.String(), Schema: sn.Name(), Values: ans.Values}
-	if out.Values == nil {
-		out.Values = []any{}
-	}
-	for _, c := range ans.Chosen {
-		out.Chosen = append(out.Chosen, c.Path.String())
-	}
-	if ans.Where != nil {
-		out.Where = ans.Where.String()
-	}
-	sv.respond(w, r, http.StatusOK, out,
-		&Meta{Schema: sn.Name(), Generation: sn.Generation(), Engine: engineSearch})
+		if err := faultinject.Inject("server.evaluate"); err != nil {
+			sv.jsonError(w, r, http.StatusInternalServerError, err.Error())
+			return
+		}
+		// The evaluation path runs through the Fox interpreter (the full
+		// Figure 1 loop) on the snapshot's Completer, which also
+		// understands selection predicates:
+		// {"expr": "department~course where credits > 3"}. The request's
+		// Approve indices stand in for the user; ctx carries the
+		// per-request deadline into the disambiguation search.
+		chooser := fox.AcceptAll
+		if len(req.Approve) > 0 {
+			approve := req.Approve
+			chooser = func([]core.Completion) []int { return approve }
+		}
+		if s := obs.SpanFromContext(r.Context()); s != nil {
+			s.SetAttr(obs.AttrExpr, req.Expr)
+			s.SetAttr(obs.AttrSchema, sn.Name())
+			s.SetAttr(obs.AttrEngine, engineSearch)
+		}
+		_, espan := obs.StartSpan(ctx, "evaluate")
+		ans, err := fox.Eval(ctx, sn.Store(), sn.Completer(), core.SearchOptions{E: req.E}, chooser, req.Expr)
+		espan.End()
+		if err != nil {
+			sv.jsonError(w, r, http.StatusUnprocessableEntity, err.Error())
+			return
+		}
+		out := EvaluateResponse{Expr: ans.Query.String(), Schema: sn.Name(), Values: ans.Values}
+		if out.Values == nil {
+			out.Values = []any{}
+		}
+		for _, c := range ans.Chosen {
+			out.Chosen = append(out.Chosen, c.Path.String())
+		}
+		if ans.Where != nil {
+			out.Where = ans.Where.String()
+		}
+		sv.respond(w, r, http.StatusOK, out,
+			&Meta{Schema: sn.Name(), Generation: sn.Generation(), Engine: engineSearch})
+	})
 }
 
 // exprShape renders an expression with every identifier replaced by

@@ -80,51 +80,31 @@ func (sv *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		Schema:     schemaName,
 		Debounce:   sv.lim.SessionDebounce,
 		MaxExprLen: sv.lim.MaxExprLen,
-		Admit:      sv.sessionAdmit,
-		CellSource: sv.sessionCellSource,
-		Trace:      sv.traceP,
-		OnEvent:    sv.sessionEvent,
-		Logger:     sv.logger,
+		// Each keystroke search takes a regular admission slot.
+		Admit: func(ctx context.Context) (func(), error) {
+			switch sv.admit(ctx) {
+			case admitOK:
+				return sv.release, nil
+			case admitShed:
+				return nil, errShed
+			default:
+				return nil, errors.New("search ended while waiting for an admission slot")
+			}
+		},
+		// Frontier cells come from the planner's closure probe, so a
+		// session's cold anchors cost one map lookup when the index is
+		// ready.
+		CellSource: func(sn *registry.Snapshot, root, anchor string) (*core.Result, bool) {
+			p, res := closureCell(sn, root, anchor)
+			if p.reason == reasonHit {
+				sv.met.closureHits.Inc()
+			}
+			return res, p.reason == reasonHit
+		},
+		Trace:   sv.traceP,
+		OnEvent: sv.sessionEvent,
+		Logger:  sv.logger,
 	})
-}
-
-// sessionAdmit gates one keystroke search through the same semaphore
-// as the REST search endpoints, with the same metric accounting.
-func (sv *Server) sessionAdmit(ctx context.Context) (func(), error) {
-	switch sv.gate.acquire(ctx) {
-	case admitOK:
-		sv.met.inflight.Inc()
-		return func() {
-			sv.met.inflight.Dec()
-			sv.gate.release()
-		}, nil
-	case admitShed:
-		sv.met.sheds.Inc()
-		return nil, errors.New("server overloaded: admission queue full")
-	default: // admitCanceled
-		sv.met.timeouts.Inc()
-		return nil, errors.New("search ended while waiting for an admission slot")
-	}
-}
-
-// sessionCellSource serves frontier cells from the snapshot's
-// materialized all-pairs closure: the same immutable index the REST
-// hot path probes, so a session's cold anchors cost one map lookup
-// when the index is ready.
-func (sv *Server) sessionCellSource(sn *registry.Snapshot, root, anchor string) (*core.Result, bool) {
-	ix := sn.Closure().Index()
-	if ix == nil {
-		return nil, false
-	}
-	rc, ok := sn.Schema().ClassByName(root)
-	if !ok {
-		return nil, false
-	}
-	res, hit := ix.Lookup(rc.ID, anchor)
-	if hit {
-		sv.met.closureHits.Inc()
-	}
-	return res, hit
 }
 
 // sessionEvent folds session happenings into the metrics.

@@ -18,6 +18,7 @@ import (
 
 	"pathcomplete/internal/closure"
 	"pathcomplete/internal/core"
+	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/uni"
 )
 
@@ -321,7 +322,8 @@ func TestLegacyDeprecation(t *testing.T) {
 // TestV1ClosureServing: with warming enabled, the single-gap hot path
 // answers from the index (meta.engine = "closure", hit metric), every
 // fall-through shape reports engine = "search", and the two engines'
-// answers are identical.
+// answers are identical. Each row pins the planner's reason and the
+// exact closure hit/miss/fallback deltas that reason moves.
 func TestV1ClosureServing(t *testing.T) {
 	sv := New(uni.New(), nil, core.Exact())
 	sv.EnableClosure(1, 1<<30)
@@ -329,55 +331,79 @@ func TestV1ClosureServing(t *testing.T) {
 	if st := waitClosure(t, sv, ""); st.State != closure.StateReady {
 		t.Fatalf("closure = %+v, want ready", st)
 	}
+	cold := New(uni.New(), nil, core.Exact()) // closure never enabled
+	coldTS := newTS(t, cold)
 
-	// Closure hit.
-	resp, body := post(t, ts+"/v1/complete", `{"expr":"ta~name"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
-	}
-	env := decodeEnvelope(t, body)
-	if env.Meta.Engine != engineClosure {
-		t.Fatalf("meta.engine = %q, want %q", env.Meta.Engine, engineClosure)
-	}
 	var closureOut CompleteResponse
-	if err := json.Unmarshal(env.Data, &closureOut); err != nil {
-		t.Fatal(err)
-	}
-	if got := sv.met.closureHits.Value(); got != 1 {
-		t.Errorf("closureHits = %d, want 1", got)
-	}
-
-	// Fall-through shapes all answer engine=search with the same
-	// completions.
-	for name, reqBody := range map[string]string{
-		"traced":      `{"expr":"ta~name","trace":true}`,
-		"budgeted":    `{"expr":"ta~name","timeoutMs":5000}`,
-		"e-overrid":   `{"expr":"ta~name","e":2}`,
-		"multi-gap":   `{"expr":"ta~name.self"}`,            // not single-gap shaped
-		"constrained": `{"expr":"ta~(.*)~name"}`,            // annotated gap, even degenerate
-		"predicated":  `{"expr":"ta~name[self != \"zz\"]"}`, // pushed-down predicate
+	for _, tc := range []struct {
+		name, body string
+		cold       bool // served by the closure-off server
+		status     int
+		engine     string
+		reason     planReason
+		hits       uint64
+		misses     uint64
+		fallbacks  uint64
+	}{
+		{"hit", `{"expr":"ta~name"}`, false, 200, engineClosure, reasonHit, 1, 0, 0},
+		{"default e", `{"expr":"ta~name","e":1}`, false, 200, engineClosure, reasonHit, 1, 0, 0},
+		{"traced", `{"expr":"ta~name","trace":true}`, false, 200, engineSearch, reasonTrace, 0, 0, 1},
+		{"budgeted", `{"expr":"ta~name","timeoutMs":5000}`, false, 200, engineSearch, reasonBudget, 0, 0, 1},
+		{"e-override", `{"expr":"ta~name","e":2}`, false, 200, engineSearch, reasonEOverride, 0, 0, 1},
+		{"multi-gap", `{"expr":"ta~name.self"}`, false, 200, engineSearch, reasonShape, 0, 0, 1},
+		{"complete expr", `{"expr":"ta@>grad@>student@>person.name"}`, false, 200, engineSearch, reasonShape, 0, 0, 1},
+		{"constrained", `{"expr":"ta~(.*)~name"}`, false, 200, engineSearch, reasonConstrained, 0, 0, 1},
+		{"predicated", `{"expr":"ta~name[self != \"zz\"]"}`, false, 200, engineSearch, reasonConstrained, 0, 0, 1},
+		{"unknown root", `{"expr":"nosuchclass~name"}`, false, 422, "", reasonCellMissing, 0, 1, 0},
+		{"unknown anchor", `{"expr":"ta~nosuchattr"}`, false, 422, "", reasonCellMissing, 0, 1, 0},
+		{"index not ready", `{"expr":"ta~name"}`, true, 200, engineSearch, reasonNotReady, 0, 1, 0},
+		{"index not ready, traced", `{"expr":"ta~name","trace":true}`, true, 200, engineSearch, reasonTrace, 0, 0, 1},
 	} {
-		resp, body := post(t, ts+"/v1/complete", reqBody)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d: %s", name, resp.StatusCode, body)
+		srv, url := sv, ts
+		if tc.cold {
+			srv, url = cold, coldTS
+		}
+		m := srv.met
+		h0, m0, f0 := m.closureHits.Value(), m.closureMisses.Value(), m.closureFallbacks.Value()
+		resp, body := post(t, url+"/v1/complete", tc.body)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status = %d, want %d: %s", tc.name, resp.StatusCode, tc.status, body)
+		}
+		if d := [3]uint64{m.closureHits.Value() - h0, m.closureMisses.Value() - m0, m.closureFallbacks.Value() - f0}; d != [3]uint64{tc.hits, tc.misses, tc.fallbacks} {
+			t.Errorf("%s: closure hit/miss/fallback deltas = %v, want %v", tc.name, d, [3]uint64{tc.hits, tc.misses, tc.fallbacks})
+		}
+		var req CompleteRequest
+		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+			t.Fatal(err)
+		}
+		sn, err := srv.reg.Acquire("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := srv.plan(context.Background(), sn, &req, pathexpr.MustParse(req.Expr)); p.reason != tc.reason {
+			t.Errorf("%s: plan reason = %q, want %q", tc.name, p.reason, tc.reason)
+		}
+		sn.Release()
+		if tc.status != http.StatusOK {
+			continue
 		}
 		env := decodeEnvelope(t, body)
-		if env.Meta.Engine != engineSearch {
-			t.Errorf("%s: meta.engine = %q, want %q", name, env.Meta.Engine, engineSearch)
+		if env.Meta.Engine != tc.engine {
+			t.Errorf("%s: meta.engine = %q, want %q", tc.name, env.Meta.Engine, tc.engine)
 		}
-		if name == "traced" || name == "budgeted" {
-			var out CompleteResponse
-			if err := json.Unmarshal(env.Data, &out); err != nil {
-				t.Fatal(err)
-			}
+		var out CompleteResponse
+		if err := json.Unmarshal(env.Data, &out); err != nil {
+			t.Fatal(err)
+		}
+		switch tc.name {
+		case "hit":
+			closureOut = out
+		case "traced", "budgeted", "index not ready":
 			if !reflect.DeepEqual(out.Completions, closureOut.Completions) {
 				t.Errorf("%s: search answer diverges from closure answer:\n search: %+v\n closure: %+v",
-					name, out.Completions, closureOut.Completions)
+					tc.name, out.Completions, closureOut.Completions)
 			}
 		}
-	}
-	if sv.met.closureFallbacks.Value() == 0 {
-		t.Error("fallback metric never moved")
 	}
 
 	// The data payload also names the engine.

@@ -141,7 +141,7 @@ func AcceptFirst(cands []Completion) []int { return fox.AcceptFirst(cands) }
 
 // NewInterp returns a query interpreter over the store.
 func NewInterp(store *Store, opts Options, chooser Chooser) *Interp {
-	return fox.New(store, opts, chooser)
+	return fox.New(store, core.New(store.Schema(), opts), chooser)
 }
 
 // University returns the paper's Figure 2 example schema.
